@@ -11,7 +11,7 @@ This file measures that end to end:
 * **Throughput grid** — wall-clock tx/sec of the E1 (OX/OXII/XOV) and
   E2 (Fabric family) workloads with the state pre-populated to 1k, 10k
   and 100k keys; the pre-overhaul baseline is replayed through
-  :class:`~repro.ledger.store.EagerCopyStateStore` on the same seeds.
+  :class:`EagerCopyStateStore` (below) on the same seeds.
   The gate: current / baseline >= 2x at 100k keys on both workloads.
 * **Snapshot-cost probe** — per-snapshot wall time at each state size;
   copy-on-write must be flat (O(1)) while the eager baseline grows.
@@ -20,8 +20,9 @@ This file measures that end to end:
   cache (``repro.bench.profiling.hotpath_counters``).
 
 ``--smoke`` runs the CI guard instead: E1/E2 paper-shape assertions,
-serial-vs-parallel row identity, and the O(1)-snapshot counter check —
-nonzero exit on any regression. Run standalone::
+serial-vs-parallel row identity, and the snapshot counter check (COW
+copies no entry, the eager baseline does) — nonzero exit on any
+regression. Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--smoke]
 """
@@ -40,7 +41,12 @@ from repro.bench import (
     sweep_parallel,
 )
 from repro.core import SYSTEMS, SystemConfig
-from repro.ledger.store import EagerCopyStateStore, StateStore, Version
+from repro.ledger.store import (
+    STORE_COUNTERS,
+    StateSnapshot,
+    StateStore,
+    Version,
+)
 from repro.workloads import KvWorkload
 
 STATE_SIZES = [1_000, 10_000, 100_000]
@@ -58,6 +64,20 @@ GATE_STATE = 100_000
 
 #: Snapshot-probe repetitions per state size.
 PROBE_SNAPSHOTS = 200
+
+
+class EagerCopyStateStore(StateStore):
+    """The pre-overhaul baseline: ``snapshot()`` copies every entry.
+
+    The "snapshot cost is O(state)" arm of this experiment; every
+    production path uses the copy-on-write :class:`StateStore`.
+    """
+
+    def snapshot(self) -> StateSnapshot:
+        data = {key: entry for key, entry in self.items()}
+        STORE_COUNTERS["snapshots_taken"] += 1
+        STORE_COUNTERS["snapshot_entries_copied"] += len(data)
+        return StateSnapshot(data)
 
 
 def _workload(family: str, n_keys: int):
@@ -306,10 +326,13 @@ def check_parallel_identity() -> list[str]:
 
 
 def check_snapshot_counters() -> list[str]:
-    """COW snapshots must copy zero entries at any state size."""
+    """COW snapshots must copy zero entries at any state size, while the
+    eager baseline copies some — else the counter measures nothing."""
     failures = []
     for n_keys in (1_000, 10_000):
         row = run_cell("E1", "xov", n_keys, eager=False)
+        if n_keys == 1_000:
+            cow_small = row
         if row["snapshot_entries_copied"] != 0:
             failures.append(
                 f"COW run at {n_keys} keys copied "
@@ -317,6 +340,17 @@ def check_snapshot_counters() -> list[str]:
             )
         if row["committed"] == 0:
             failures.append(f"COW run at {n_keys} keys committed nothing")
+    eager = run_cell("E1", "xov", 1_000, eager=True)
+    if eager["snapshot_entries_copied"] <= 0:
+        failures.append(
+            "eager baseline copied no snapshot entries — the copy "
+            "counter is blind"
+        )
+    if eager["committed"] != cow_small["committed"]:
+        failures.append(
+            "eager baseline committed a different count than COW — its "
+            "snapshots are not equivalent"
+        )
     return failures
 
 
@@ -331,7 +365,8 @@ def run_smoke() -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("hotpath smoke: E1/E2 shapes, parallel identity, O(1) snapshots OK")
+    print("hotpath smoke: E1/E2 shapes, parallel identity, O(1) COW "
+          "snapshots vs copying eager baseline OK")
     return 0
 
 

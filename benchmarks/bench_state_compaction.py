@@ -12,9 +12,10 @@ Three grids over :mod:`repro.storage.snapshots` / :mod:`~.paged`:
   by the budget (+ one entry of slack) under a sustained 10k+ write
   stream while the unbounded control's peak sails past every budget;
   tiered compaction's cumulative bytes written are strictly below the
-  full-merge policy's **at byte-identical final state**; and the paged
-  read path over each cell's final run set matches the materialized
-  oracle key for key.
+  full-merge baseline's (:class:`FullMergeSnapshotStore`, kept here
+  rather than in ``repro.storage``) **at byte-identical final state**;
+  and the paged read path over each cell's final run set matches the
+  materialized oracle key for key.
 * **Scan grid** — synthetic multi-run states at 10x-apart sizes probed
   with fixed narrow key ranges through ``PagedStateStore.scan``.
   Gates: every range byte-identical to the materialized oracle's scan,
@@ -68,6 +69,8 @@ SMOKE_BULK = [1_000, 10_000]
 #: A budgeted cell may overshoot by at most the one write that tripped
 #: the check — entry overhead + key + a short value, comfortably < 256B.
 BUDGET_SLACK_BYTES = 256
+#: The full-merge baseline compacts once the run set grows past this.
+FULL_MERGE_MAX_RUNS = 4
 #: Narrow-range scans decode at most a couple of blocks per run per
 #: range, independent of total state size — the O(blocks-in-range) gate.
 SCAN_DECODE_CAP_PER_RANGE = 4 * SCAN_RUNS
@@ -75,6 +78,26 @@ SCAN_DECODE_CAP_PER_RANGE = 4 * SCAN_RUNS
 JSON_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_state_compaction.json"
 )
+
+
+# -- the full-merge baseline ---------------------------------------------------
+
+
+class FullMergeSnapshotStore(SnapshotStore):
+    """Full-merge compaction, the write-amp baseline for tiered.
+
+    Once the run set grows past ``FULL_MERGE_MAX_RUNS`` every live run
+    merges into one, and the merged manifest is the only swap — each
+    trigger rewrites the whole state, where tiered bands rewrite one
+    band.
+    """
+
+    def apply_policy(self, manifest: dict) -> dict:
+        runs = manifest.get("runs", ())
+        if len(runs) > FULL_MERGE_MAX_RUNS:
+            return self.merge_band(manifest, 0, len(runs))
+        self.write_manifest(manifest)
+        return manifest
 
 
 # -- the seeded write stream ---------------------------------------------------
@@ -109,7 +132,10 @@ def run_ledger_cell(
 ) -> dict:
     """One write stream through spill + compaction under one cell."""
     backend = MemoryBackend()
-    store = SnapshotStore(backend, policy=policy)
+    store = (
+        FullMergeSnapshotStore(backend) if policy == "full"
+        else SnapshotStore(backend, policy=policy)
+    )
     reset_hotpath_counters()
     spill = SpillBuffer()
     manifest: dict = {"runs": [], "next_run_id": 1}

@@ -341,8 +341,6 @@ def _scenario_from_args(args) -> ScenarioSpec:
         flags.append("lying-disk")
     if getattr(args, "paged", False):
         flags.append("paged")
-    if getattr(args, "tiered", False):
-        flags.append("tiered")
     if getattr(args, "spill", False):
         flags.append("spill")
     flags = tuple(flags)
@@ -437,7 +435,6 @@ def _disk_drill(args) -> dict:
             snapshot_interval=args.snapshot_interval,
             paged=getattr(args, "paged", False),
             cache_bytes=getattr(args, "cache_bytes", 4 * 1024 * 1024),
-            compaction="tiered" if getattr(args, "tiered", False) else "full",
             overlay_budget_bytes=getattr(args, "overlay_budget", 0),
         )
 
@@ -528,9 +525,6 @@ def _disk_drill(args) -> dict:
             "data_dir": str(base_dir),
             "blocks": chain.height,
             "paged": getattr(args, "paged", False),
-            "compaction": (
-                "tiered" if getattr(args, "tiered", False) else "full"
-            ),
             "overlay_budget_bytes": getattr(args, "overlay_budget", 0),
             "nodes": nodes,
             "all_match": all(
@@ -565,8 +559,6 @@ def cmd_recover(args) -> int:
         flags.append("lying-disk")
     if args.paged:
         flags.append("paged")
-    if args.tiered:
-        flags.append("tiered")
     if args.spill:
         flags.append("spill")
     scenario = ScenarioSpec(
@@ -755,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
             "blocked run files (paged store) instead of materializing",
         )
         p.add_argument(
-            "--tiered", action="store_true",
-            help="durable target: size-tiered band compaction instead "
-            "of full merges",
-        )
-        p.add_argument(
             "--spill", action="store_true",
             help="durable target: tiny overlay byte budget forcing "
             "mid-interval snapshot spills",
@@ -811,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--paged", action="store_true",
         help="recover into a paged store reading blocked run files "
         "directly (larger-than-RAM state path)",
-    )
-    recover.add_argument(
-        "--tiered", action="store_true",
-        help="size-tiered band compaction instead of full merges",
     )
     recover.add_argument(
         "--spill", action="store_true",

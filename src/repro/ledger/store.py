@@ -453,18 +453,3 @@ class StateStore:
             if theirs is _MISSING or theirs.value != entry.value:
                 return False
         return True
-
-
-class EagerCopyStateStore(StateStore):
-    """Pre-overhaul behaviour: ``snapshot()`` deep-copies every entry.
-
-    Kept only as the measured baseline of ``benchmarks/bench_hotpath.py``
-    (the "snapshot cost is O(state)" arm); production paths always use
-    :class:`StateStore`.
-    """
-
-    def snapshot(self) -> StateSnapshot:
-        data = {key: entry for key, entry in self.items()}
-        STORE_COUNTERS["snapshots_taken"] += 1
-        STORE_COUNTERS["snapshot_entries_copied"] += len(data)
-        return StateSnapshot(data)

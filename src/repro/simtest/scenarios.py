@@ -52,10 +52,9 @@ class ScenarioSpec:
     crash-recoverable nodes with WAL + snapshot storage behind seeded
     fault-injected backends — flags ``torn-disk`` / ``lying-disk``
     select the storage fault profile, flag ``paged`` makes recovery
-    return the paged read path instead of a materialized store, flag
-    ``tiered`` switches the snapshot tier to size-tiered band
-    compaction, and flag ``spill`` installs a tiny overlay byte budget
-    so spills fire between snapshot intervals), or
+    return the paged read path instead of a materialized store, and
+    flag ``spill`` installs a tiny overlay byte budget so spills fire
+    between snapshot intervals; compaction is always size-tiered), or
     ``"gateway"`` (an open-loop
     client population firing through the :mod:`repro.gateway` admission
     tier into ``architecture``, with client-side retries on). Consensus
@@ -186,11 +185,10 @@ def _behaviour_flags(flags: tuple[str, ...]):
     import repro.sim.node as node_module
 
     # torn-disk / lying-disk are storage fault profiles, paged the
-    # recovery mode, tiered the compaction policy, and spill a small
-    # overlay byte budget forcing mid-interval spills — all consumed by
-    # the durable target directly; they toggle nothing global.
-    known = {"ghost-timers", "torn-disk", "lying-disk", "paged", "tiered",
-             "spill"}
+    # recovery mode, and spill a small overlay byte budget forcing
+    # mid-interval spills — all consumed by the durable target directly;
+    # they toggle nothing global.
+    known = {"ghost-timers", "torn-disk", "lying-disk", "paged", "spill"}
     unknown = set(flags) - known
     if unknown:
         raise ConfigError(f"unknown behaviour flags {sorted(unknown)}")
@@ -320,9 +318,6 @@ def _run_durable(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
         # state root against the serial oracle, so paged-vs-materialized
         # divergence surfaces as a violation.
         paged="paged" in scenario.flags,
-        # flag "tiered": size-tiered band compaction instead of the
-        # full-merge trigger — crash schedules then land mid-band-merge.
-        compaction="tiered" if "tiered" in scenario.flags else "full",
         # flag "spill": a deliberately tiny overlay budget so snapshot
         # spills fire *between* intervals and crashes land mid-spill.
         overlay_budget_bytes=(

@@ -206,9 +206,11 @@ class DurableLedger:
 
     The commit path appends ``encode_block(block, state_root)`` records
     (fsync per the policy); :meth:`maybe_snapshot` runs the spill cycle
-    in crash-safe order — run file durable → WAL rolled → manifest
+    in crash-safe order — WAL rolled → run file durable → manifest
     swapped atomically → superseded segments deleted — so a crash at
-    any point leaves a recoverable prefix.
+    any point leaves a recoverable prefix. ``compaction`` is
+    ``"tiered"``, ``"tiered:<fanout>"`` or a
+    :class:`~repro.storage.snapshots.CompactionPolicy`.
     """
 
     def __init__(
@@ -216,10 +218,9 @@ class DurableLedger:
         backend,
         policy: FsyncPolicy | str = "per-block",
         snapshot_interval: int = 4,
-        max_runs: int = 4,
         paged: bool = False,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        compaction: "CompactionPolicy | str" = "full",
+        compaction: "CompactionPolicy | str" = "tiered",
         overlay_budget_bytes: int = 0,
     ) -> None:
         if snapshot_interval < 1:
@@ -236,9 +237,7 @@ class DurableLedger:
             policy if isinstance(policy, FsyncPolicy)
             else FsyncPolicy.parse(policy)
         )
-        self.snapshots = SnapshotStore(
-            backend, max_runs=max_runs, policy=compaction
-        )
+        self.snapshots = SnapshotStore(backend, policy=compaction)
         self.snapshot_interval = snapshot_interval
         #: Resident-overlay byte threshold forcing a spill *between*
         #: interval snapshots (0 = interval-only). The spill is a full
@@ -300,29 +299,26 @@ class DurableLedger:
     def snapshot(self, anchor: Block, root: str, buffer: SpillBuffer) -> None:
         """One spill cycle, in crash-safe order.
 
-        1. write the delta run (durable before anything references it);
-        2. roll the WAL to a fresh segment (old segment flushed);
-        3. swap the manifest atomically — this is the commit point;
+        1. roll the WAL to a fresh segment (old segment flushed);
+        2. write the delta run (durable before anything references it);
+        3. swap the manifest atomically — this is the commit point —
+           then merge whatever compaction bands the new run completes;
         4. delete the WAL segments the new manifest no longer needs.
 
-        A crash before (3) recovers from the *old* manifest + full WAL;
-        between (3) and (4), replay skips records at or below the new
-        snapshot height, so the stale segments are harmless.
+        Rolling only flushes and advances an in-memory segment id, so a
+        crash before (3) recovers from the *old* manifest + every
+        segment; between (3) and (4), replay skips records at or below
+        the new snapshot height, so the stale segments are harmless.
         """
-        manifest = self.snapshots.read_manifest() or {}
-        rows = self.snapshots.rows_from_buffer(buffer)
-        run_id = int(manifest.get("next_run_id", 1))
-        entry = self.snapshots.write_run(run_id, rows)
         self.log.roll()
-        new_manifest = {
-            "runs": list(manifest.get("runs", ())) + [entry],
-            "next_run_id": run_id + 1,
-            "snapshot_height": anchor.height,
-            "anchor": block_to_dict(anchor),
-            "state_root": root,
-            "wal_segment": self.log.segment_id,
-        }
-        self.snapshots.apply_policy(new_manifest)
+        self.snapshots.spill(
+            buffer,
+            self.snapshots.read_manifest() or {},
+            snapshot_height=anchor.height,
+            anchor=block_to_dict(anchor),
+            state_root=root,
+            wal_segment=self.log.segment_id,
+        )
         for segment_id in self._segment_ids():
             if segment_id < self.log.segment_id:
                 self.backend.delete(segment_name(segment_id))
@@ -607,7 +603,6 @@ class DurableNode(Node):
         cluster: "DurableCluster | None" = None,
         paged: bool = False,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        compaction: "CompactionPolicy | str" = "full",
         overlay_budget_bytes: int = 0,
     ) -> None:
         super().__init__(node_id, sim, network)
@@ -616,7 +611,6 @@ class DurableNode(Node):
         self.ledger = DurableLedger(
             backend, policy=policy, snapshot_interval=snapshot_interval,
             paged=paged, cache_bytes=cache_bytes,
-            compaction=compaction,
             overlay_budget_bytes=overlay_budget_bytes,
         )
         self.orderer_id = orderer_id
@@ -787,7 +781,6 @@ class DurableCluster:
         registry_factory: Callable[[], ContractRegistry] = standard_registry,
         paged: bool = False,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        compaction: "CompactionPolicy | str" = "full",
         overlay_budget_bytes: int = 0,
     ) -> None:
         if n < 1:
@@ -813,7 +806,6 @@ class DurableCluster:
                 registry_factory=registry_factory,
                 policy=policy, snapshot_interval=snapshot_interval,
                 cluster=self, paged=paged, cache_bytes=cache_bytes,
-                compaction=compaction,
                 overlay_budget_bytes=overlay_budget_bytes,
             )
             self.backends[node.node_id] = backend

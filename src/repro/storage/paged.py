@@ -18,7 +18,9 @@ run files, LSM style:
 * per run it consults the key filter (a definite *no* skips the run
   without touching a single block), binary-searches the block index for
   the only block that could hold the key, and decodes just that ~4KB
-  block;
+  block — every run is a blocked v2 file, and one whose footer fails
+  to verify is corrupt (``StorageError``, which recovery turns into a
+  resync);
 * decoded blocks live in a shared :class:`BlockCache` — a byte-budget
   LRU — so hot keys cost O(log block) with zero I/O while the resident
   set stays within the configured budget whatever the state size.
@@ -53,12 +55,7 @@ from repro.ledger.store import (
     is_tombstone,
 )
 from repro.storage.codec import KeyFilter
-from repro.storage.snapshots import (
-    RUN_FORMAT,
-    read_run_block,
-    read_run_footer,
-    read_run_v1,
-)
+from repro.storage.snapshots import read_run_block, read_run_footer
 
 #: Default block-cache budget: small enough that the E23 sweeps push
 #: state well past it, big enough that hot working sets stay resident.
@@ -125,9 +122,8 @@ class PagedRun:
     """One run file opened for point lookups: footer resident, rows not.
 
     Opening reads + verifies only the footer (block index + key filter)
-    — O(index), never the row blocks. Legacy v1 runs (one JSON blob, no
-    footer) are modelled as a single block with no filter, so old
-    directories page too, just with coarser granularity.
+    — O(index), never the row blocks. A file without a valid footer
+    raises :class:`~repro.common.errors.StorageError` here.
     """
 
     __slots__ = ("backend", "entry", "name", "filter", "blocks", "firsts")
@@ -136,56 +132,34 @@ class PagedRun:
         self.backend = backend
         self.entry = entry
         self.name = entry["name"]
-        version = int(entry.get("format", 1))
-        if version == RUN_FORMAT:
-            footer = read_run_footer(backend, entry)
-            self.blocks = footer["blocks"]
-            self.filter: KeyFilter | None = KeyFilter.from_dict(
-                footer["filter"]
-            )
-            self.firsts = [spec["first"] for spec in self.blocks]
-        elif version == 1:
-            if not backend.exists(self.name):
-                raise StorageError(f"missing snapshot run {self.name!r}")
-            self.blocks = None  # legacy blob: one implicit block
-            self.filter = None
-            self.firsts = None
-        else:
-            raise StorageError(
-                f"unknown run format {version} in snapshot run {self.name!r}"
-            )
+        footer = read_run_footer(backend, entry)
+        self.blocks = footer["blocks"]
+        self.filter = KeyFilter.from_dict(footer["filter"])
+        self.firsts = [spec["first"] for spec in self.blocks]
 
     def read_block(self, index: int) -> tuple[list[list[Any]], int]:
         """Decode one block; returns (rows, encoded-size charge)."""
-        if self.blocks is None:
-            rows = read_run_v1(self.backend, self.entry)
-            return rows, self.backend.size(self.name)
         spec = self.blocks[index]
         return read_run_block(self.backend, self.name, spec), spec["len"]
 
     def block_count(self) -> int:
-        return 1 if self.blocks is None else len(self.blocks)
+        return len(self.blocks)
 
     def lookup(self, key: str, cache: BlockCache) -> list[Any] | None:
         """The row for ``key`` in this run (tombstone rows included), or
         None — touching at most one block."""
-        if self.filter is not None and not self.filter.might_contain(key):
+        if not self.filter.might_contain(key):
             STORE_COUNTERS["filter_skips"] += 1
             return None
-        if self.blocks is None:
-            index = 0
-        else:
-            index = bisect_right(self.firsts, key) - 1
-            if index < 0:
-                if self.filter is not None:
-                    STORE_COUNTERS["filter_false_positives"] += 1
-                return None
+        index = bisect_right(self.firsts, key) - 1
+        if index < 0:
+            STORE_COUNTERS["filter_false_positives"] += 1
+            return None
         rows = cache.get(self, index)
         position = bisect_left(rows, key, key=lambda row: row[0])
         if position < len(rows) and rows[position][0] == key:
             return rows[position]
-        if self.filter is not None:
-            STORE_COUNTERS["filter_false_positives"] += 1
+        STORE_COUNTERS["filter_false_positives"] += 1
         return None
 
     def iter_rows(self) -> Iterator[list[Any]]:
@@ -211,19 +185,6 @@ class PagedRun:
         ``STORE_COUNTERS["range_block_decodes"]``, which the E24 gate
         pins to range size while total blocks grow.
         """
-        if self.blocks is None:
-            # Legacy v1 blob: one implicit block, filtered in memory.
-            rows, _charge = self.read_block(0)
-            STORE_COUNTERS["range_block_decodes"] += 1
-            for row in rows:
-                if start is not None and row[0] < start:
-                    continue
-                if end is not None and row[0] > end:
-                    break
-                yield row
-            return
-        if not self.blocks:
-            return
         index = 0
         if start is not None:
             index = max(0, bisect_right(self.firsts, start) - 1)

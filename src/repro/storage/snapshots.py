@@ -10,15 +10,15 @@ style:
   :meth:`~repro.ledger.store.StateStore.sealed_overlays` public
   contract; later overlays supersede earlier ones) into one sorted,
   **blocked** run file.
-* A **run file** (format v2) is a sequence of ~4KB blocks of sorted,
-  canonical-JSON rows — each block individually checksummed — followed
-  by a footer holding the block index (first key / offset / length /
-  checksum per block) and a compact key-membership filter
-  (:class:`~repro.storage.codec.KeyFilter`), and a fixed trailer
-  locating the footer. The manifest entry records the footer checksum
-  and a ``format`` version; the pre-blocking v1 format (one JSON blob,
-  whole-file checksum) is still readable, so old directories recover
-  unchanged. Blocked layout is what the paged read path
+* A **run file** (format v2, the only one) is a sequence of ~4KB
+  blocks of sorted, canonical-JSON rows — each block individually
+  checksummed — followed by a footer holding the block index (first
+  key / offset / length / checksum per block) and a compact
+  key-membership filter (:class:`~repro.storage.codec.KeyFilter`), and
+  a fixed trailer locating the footer. The manifest entry records the
+  footer checksum; a file without a valid trailer is corrupt
+  (:class:`~repro.common.errors.StorageError`, and recovery resyncs).
+  Blocked layout is what the paged read path
   (:mod:`repro.storage.paged`) needs: a point lookup consults the
   filter, binary-searches the index, and decodes exactly one block.
 * The **manifest** is the tiny root of trust: the ordered list of live
@@ -31,11 +31,13 @@ style:
   written block-by-block (append + final fsync before the manifest
   references them); a crash mid-write leaves an unreferenced partial
   file that recovery garbage-collects.
-* **Compaction** merges all live runs into one (newest entry per key
-  wins, tombstones drop out once they reach the bottom) and swaps the
-  manifest; a crash mid-compaction is invisible to recovery. The merge
-  is a k-way heap over each run's sorted row stream, so compaction
-  memory is O(block), not O(state).
+* **Compaction** is size-tiered (:class:`CompactionPolicy`): once
+  ``fanout`` age-contiguous same-tier runs accumulate they merge into
+  one run a tier up (newest entry per key wins, tombstones drop out
+  once they reach the bottom) and the manifest swaps; a crash
+  mid-merge is invisible to recovery. The merge is a k-way heap over
+  each run's sorted row stream, so compaction memory is O(block), not
+  O(state).
 
 Reading state back is ``apply runs in manifest order``: rows carry the
 exact MVCC :class:`~repro.ledger.store.Version` of each write, so a
@@ -73,8 +75,8 @@ MANIFEST_FORMAT = "repro-manifest/v1"
 RUN_PREFIX = "snap-"
 RUN_SUFFIX = ".json"
 
-#: Current run-file format. v1 = one JSON blob, whole-file checksum;
-#: v2 = sorted checksummed blocks + footer index + key filter.
+#: The run-file format: sorted checksummed blocks + footer index + key
+#: filter. Recorded in each footer and manifest entry.
 RUN_FORMAT = 2
 
 #: Target encoded size of one run block. Small enough that a point
@@ -86,13 +88,6 @@ BLOCK_TARGET_BYTES = 4096
 _TRAILER = struct.Struct(">Q4s")
 _RUN_MAGIC = b"RUN2"
 
-#: Compact the run set once it grows past this many files.
-DEFAULT_MAX_RUNS = 4
-
-#: Disk-compaction counter (separate from the in-memory STORE_COUNTERS
-#: "compactions", which counts base folds inside StateStore).
-STORAGE_SNAPSHOT_COMPACTIONS = {"count": 0}
-
 #: Tiered-compaction telemetry: merges performed per size tier
 #: ({tier index: count}). Reset alongside the other storage counters.
 STORAGE_TIER_COMPACTIONS: dict[int, int] = {}
@@ -100,64 +95,41 @@ STORAGE_TIER_COMPACTIONS: dict[int, int] = {}
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """When and what the snapshot tier merges.
+    """Size-tiered compaction: when and what the snapshot tier merges.
 
-    ``full`` is the PR 7 behaviour: once the run count passes
-    ``max_runs``, every live run merges into one. Write amplification
-    per trigger is O(total state) — each trigger rewrites everything.
-
-    ``tiered`` is classic size-tiered compaction: every spill run is
-    born at tier 0; once an **age-contiguous** band of ``fanout``-or-
-    more same-tier runs accumulates, the band merges into one run at
-    the next tier up, at the band's position in the manifest. Each
-    trigger rewrites O(one band), and any entry is rewritten at most
-    once per tier promotion — O(log_fanout(spills)) times over its
-    life, instead of once per trigger under ``full``. Tiers are
-    recorded explicitly in the manifest entry (``"tier"``) rather than
-    derived from file size: heavy overwrite workloads dedup a merged
-    band back down to its inputs' size, and size-derived tiers would
-    then re-merge the same data forever. (Entries written before this
-    field fall back to a size-derived tier — log base ``fanout`` of
-    bytes over ``tier_base``.) Bands must be age-contiguous because key
-    shadowing between runs is positional (newest run wins; tombstone
-    rows carry the sentinel version ``(-1, -1)``, so versions cannot
-    order them) — merging a non-contiguous subset would let an old
-    value resurface over a newer run left in the gap. Tombstones drop
-    only when the band includes the oldest run (nothing below is left
-    to mask).
+    Every spill run is born at tier 0; once an **age-contiguous** band
+    of ``fanout``-or-more same-tier runs accumulates, the band merges
+    into one run at the next tier up, at the band's position in the
+    manifest. Each trigger rewrites O(one band), and any entry is
+    rewritten at most once per tier promotion — O(log_fanout(spills))
+    times over its life. Tiers are recorded explicitly in the manifest
+    entry (``"tier"``) rather than derived from file size: heavy
+    overwrite workloads dedup a merged band back down to its inputs'
+    size, and size-derived tiers would then re-merge the same data
+    forever. An entry without the field reads as tier 0 — tiers only
+    schedule merges, they never affect what a read returns. Bands must
+    be age-contiguous because key shadowing between runs is positional
+    (newest run wins; tombstone rows carry the sentinel version
+    ``(-1, -1)``, so versions cannot order them) — merging a
+    non-contiguous subset would let an old value resurface over a newer
+    run left in the gap. Tombstones drop only when the band includes
+    the oldest run (nothing below is left to mask).
     """
 
-    kind: str = "full"
-    max_runs: int = DEFAULT_MAX_RUNS
     fanout: int = 4
-    tier_base: int = 16 * 1024
 
     def __post_init__(self) -> None:
-        if self.kind not in ("full", "tiered"):
-            raise StorageError(
-                f"unknown compaction policy kind {self.kind!r}"
-            )
-        if self.max_runs < 1:
-            raise StorageError(f"max_runs must be >= 1, got {self.max_runs}")
         if self.fanout < 2:
             raise StorageError(f"fanout must be >= 2, got {self.fanout}")
-        if self.tier_base < 1:
-            raise StorageError(
-                f"tier_base must be >= 1, got {self.tier_base}"
-            )
 
     @classmethod
-    def parse(
-        cls, spec: "CompactionPolicy | str", max_runs: int = DEFAULT_MAX_RUNS
-    ) -> "CompactionPolicy":
-        """``"full"``, ``"tiered"``, or ``"tiered:<fanout>"``."""
+    def parse(cls, spec: "CompactionPolicy | str") -> "CompactionPolicy":
+        """``"tiered"`` or ``"tiered:<fanout>"``."""
         if isinstance(spec, CompactionPolicy):
             return spec
         text = spec.strip().lower()
-        if text == "full":
-            return cls(kind="full", max_runs=max_runs)
         if text == "tiered":
-            return cls(kind="tiered", max_runs=max_runs)
+            return cls()
         if text.startswith("tiered:"):
             try:
                 fanout = int(text.split(":", 1)[1])
@@ -165,33 +137,19 @@ class CompactionPolicy:
                 raise StorageError(
                     f"bad tiered fanout in policy {spec!r}"
                 ) from exc
-            return cls(kind="tiered", max_runs=max_runs, fanout=fanout)
+            return cls(fanout=fanout)
         raise StorageError(f"unknown compaction policy {spec!r}")
 
-    def tier_of(self, size_bytes: int) -> int:
-        """Size-derived fallback tier (0 = smallest) for manifest
-        entries written before the explicit ``"tier"`` field."""
-        tier = 0
-        size = max(1, int(size_bytes))
-        while size > self.tier_base:
-            size //= self.fanout
-            tier += 1
-        return tier
-
-    def entry_tier(self, entry: dict[str, Any]) -> int:
-        """A run's tier: the recorded field, or the size fallback."""
-        tier = entry.get("tier")
-        if tier is not None:
-            return int(tier)
-        return self.tier_of(int(entry.get("bytes", 0)))
+    @staticmethod
+    def entry_tier(entry: dict[str, Any]) -> int:
+        """A run's recorded tier (0 when the entry carries none)."""
+        return int(entry.get("tier", 0))
 
     def select_band(
         self, entries: list[dict[str, Any]]
     ) -> tuple[int, int] | None:
         """The oldest age-contiguous same-tier band ready to merge, as
         ``(start, count)`` over manifest positions — or None."""
-        if self.kind != "tiered":
-            return None
         tiers = [self.entry_tier(e) for e in entries]
         start = 0
         while start < len(tiers):
@@ -426,41 +384,14 @@ def read_run_block(
     return decode_block_rows(payload, name)
 
 
-def read_run_v1(backend, entry: dict[str, Any]) -> list[list[Any]]:
-    """The pre-blocking run format: one JSON blob, whole-file checksum."""
-    name = entry["name"]
-    if not backend.exists(name):
-        raise StorageError(f"missing snapshot run {name!r}")
-    payload = backend.read(name)
-    if checksum(payload) != entry["checksum"]:
-        raise StorageError(f"checksum mismatch in snapshot run {name!r}")
-    try:
-        rows = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        # Narrow on decode failures only: a blanket except here used
-        # to swallow KeyboardInterrupt/SystemExit mid-recovery.
-        raise StorageError(f"undecodable snapshot run {name!r}") from exc
-    return rows
-
-
 class SnapshotStore:
     """Manages run files + the manifest over one storage backend."""
 
     def __init__(
-        self,
-        backend,
-        max_runs: int = DEFAULT_MAX_RUNS,
-        policy: CompactionPolicy | str | None = None,
+        self, backend, policy: CompactionPolicy | str = "tiered"
     ) -> None:
-        if max_runs < 1:
-            raise StorageError(f"max_runs must be >= 1, got {max_runs}")
         self.backend = backend
-        self.max_runs = max_runs
-        self.policy = (
-            CompactionPolicy(max_runs=max_runs)
-            if policy is None
-            else CompactionPolicy.parse(policy, max_runs=max_runs)
-        )
+        self.policy = CompactionPolicy.parse(policy)
 
     # -- manifest ------------------------------------------------------------
 
@@ -505,29 +436,16 @@ class SnapshotStore:
         return writer.finish()
 
     def read_run(self, entry: dict[str, Any]) -> list[list[Any]]:
-        """Read + verify one whole run; StorageError on any corruption.
-
-        Dispatches on the entry's ``format``: v2 verifies the footer
-        then every block; v1 (entries without a format field, written
-        before the blocked layout) verifies the whole-file checksum.
-        """
+        """Read + verify one whole run (footer, then every block);
+        StorageError on any corruption."""
         return list(self.iter_run_rows(entry))
 
     def iter_run_rows(self, entry: dict[str, Any]) -> Iterator[list[Any]]:
         """Stream one run's rows in key order, one block in memory at a
-        time (v1 runs decode whole — the legacy blob has no blocks)."""
-        version = int(entry.get("format", 1))
-        name = entry["name"]
-        if version == 1:
-            yield from read_run_v1(self.backend, entry)
-        elif version == RUN_FORMAT:
-            footer = read_run_footer(self.backend, entry)
-            for spec in footer["blocks"]:
-                yield from read_run_block(self.backend, name, spec)
-        else:
-            raise StorageError(
-                f"unknown run format {version} in snapshot run {name!r}"
-            )
+        time."""
+        footer = read_run_footer(self.backend, entry)
+        for spec in footer["blocks"]:
+            yield from read_run_block(self.backend, entry["name"], spec)
 
     def orphan_runs(self, manifest: dict[str, Any] | None) -> list[str]:
         """Run files on disk that ``manifest`` does not reference.
@@ -575,11 +493,14 @@ class SnapshotStore:
     ) -> dict[str, Any]:
         """Write ``buffer``'s delta as a new run and swap the manifest.
 
-        Returns the new manifest. Old WAL segments named in
-        ``manifest_updates`` handling are the caller's job; this method
-        only guarantees run durability ordering (run file durable
-        before the manifest references it) and triggers compaction when
-        the run set grows past ``max_runs``.
+        ``manifest_updates`` land in the new manifest alongside the run
+        list (the durable ledger passes its snapshot height, anchor,
+        state root and live WAL segment). Returns the manifest after
+        compaction. This method guarantees run durability ordering (run
+        file durable before the manifest references it), then lets the
+        compaction policy merge whatever bands the new run completes;
+        deleting WAL segments the new manifest no longer needs is the
+        caller's job.
         """
         rows = self.rows_from_buffer(buffer)
         run_id = int(manifest.get("next_run_id", 1))
@@ -595,20 +516,12 @@ class SnapshotStore:
     def apply_policy(self, manifest: dict[str, Any]) -> dict[str, Any]:
         """Commit ``manifest``, then run the compaction policy over it.
 
-        ``full``: the PR 7 behaviour — past ``max_runs`` live runs,
-        everything merges into one and the *merged* manifest is the only
-        swap (the pre-merge set is never referenced). ``tiered``: the
-        incoming manifest is committed first (the spill's own commit
+        The incoming manifest is committed first (the spill's own commit
         point), then each qualifying age-contiguous band merges in its
         own crash-safe write-run → swap-manifest → delete cycle,
         repeating until no band qualifies — so a crash between band
         merges leaves a fully readable intermediate run set.
         """
-        if self.policy.kind == "full":
-            if len(manifest.get("runs", ())) > self.policy.max_runs:
-                return self.compact(manifest)
-            self.write_manifest(manifest)
-            return manifest
         self.write_manifest(manifest)
         while True:
             band = self.policy.select_band(list(manifest.get("runs", ())))
@@ -641,7 +554,7 @@ class SnapshotStore:
         untouched run set (the partial merged file is unreferenced and
         garbage-collected on recovery); a crash between (2) and (3)
         leaks files but loses nothing. The crash-during-compaction
-        sweeps assert exactly this for both policies.
+        sweeps assert exactly this.
         """
         entries = list(manifest.get("runs", ()))
         if start < 0 or count < 1 or start + count > len(entries):
@@ -688,25 +601,12 @@ class SnapshotStore:
         )
         new_manifest["next_run_id"] = run_id + 1
         self.write_manifest(new_manifest)
-        STORAGE_SNAPSHOT_COMPACTIONS["count"] += 1
         STORAGE_TIER_COMPACTIONS[tier] = (
             STORAGE_TIER_COMPACTIONS.get(tier, 0) + 1
         )
         for entry in band:
             self.backend.delete(entry["name"])
         return new_manifest
-
-    def compact(self, manifest: dict[str, Any]) -> dict[str, Any]:
-        """Merge every live run into one; atomic manifest swap.
-
-        The full-merge special case of :meth:`merge_band` — the band is
-        the whole run set, so tombstones cancel for good.
-        """
-        entries = list(manifest.get("runs", ()))
-        if not entries:
-            self.write_manifest(manifest)
-            return manifest
-        return self.merge_band(manifest, 0, len(entries))
 
     # -- load ----------------------------------------------------------------
 

@@ -3,7 +3,6 @@
 from repro.ledger.store import (
     NEVER_WRITTEN,
     STORE_COUNTERS,
-    EagerCopyStateStore,
     StateStore,
     Version,
     reset_store_counters,
@@ -164,12 +163,3 @@ class TestSnapshotIsolation:
             store.apply_writes({"hot": height}, Version(height, 0))
         assert STORE_COUNTERS["snapshot_entries_copied"] == 0
         assert STORE_COUNTERS["snapshots_taken"] >= 28
-
-    def test_eager_baseline_does_copy(self):
-        reset_store_counters()
-        store = EagerCopyStateStore()
-        store.apply_writes({f"k{i}": i for i in range(100)}, Version(1, 0))
-        snapshot = store.snapshot()
-        assert STORE_COUNTERS["snapshot_entries_copied"] == 100
-        store.put("k0", -1, Version(2, 0))
-        assert snapshot.get("k0") == 0  # still a correct snapshot

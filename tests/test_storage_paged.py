@@ -1,6 +1,6 @@
 """The paged read path: blocked run files, key filters, the LRU block
-cache, tombstone resolution across tiers, orphan-run GC, and v1
-(pre-blocking) run compatibility."""
+cache, tombstone resolution across tiers, orphan-run GC, and rejection
+of run files without a blocked-format footer."""
 
 import json
 
@@ -123,19 +123,31 @@ def test_corrupt_footer_fails_at_open():
         PagedRun(backend, entry)
 
 
-def test_v1_blob_runs_still_readable_and_pageable():
-    backend = MemoryBackend()
+def test_trailerless_blob_run_is_rejected_and_recovery_resyncs():
+    """A run written as one JSON blob (no blocked footer or trailer) is
+    corrupt: opening or reading it raises, and recovery over a manifest
+    naming it resyncs in both recovery modes."""
     rows = [entry_to_row(f"k{i}", i * 10, Version(1, i)) for i in range(8)]
     payload = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
-    backend.replace(run_name(1), payload)
-    entry = {  # a pre-blocking manifest entry: no "format" field
+    entry = {
         "name": run_name(1), "checksum": checksum(payload), "rows": len(rows),
     }
-    assert SnapshotStore(backend).read_run(entry) == rows
-    store = PagedStateStore(backend, [entry])
-    assert store.get("k3") == 30
-    assert store.get_versioned("k3").version == Version(1, 3)
-    assert store.get("absent") is None
+    for paged in (False, True):
+        backend = MemoryBackend()
+        backend.replace(run_name(1), payload)
+        with pytest.raises(StorageError):
+            PagedRun(backend, entry)
+        with pytest.raises(StorageError):
+            SnapshotStore(backend).read_run(entry)
+        SnapshotStore(backend).write_manifest(
+            {"runs": [entry], "next_run_id": 2, "snapshot_height": 0}
+        )
+        result = DurableLedger(backend, paged=paged).recover(
+            standard_registry
+        )
+        assert result.resync, f"paged={paged}"
+        assert result.tail.height == 0
+        assert backend.list() == []  # wiped for peer catch-up
 
 
 # -- paged lookups -------------------------------------------------------------
@@ -231,7 +243,7 @@ def test_tombstone_across_tiers_resolves_through_paged_lookup():
     # Compaction of the two runs: the tombstone cancels at the bottom
     # tier — "k" is gone from disk entirely, not written as a marker.
     snapshots = SnapshotStore(backend)
-    manifest = snapshots.compact(manifest_for(run1, run2))
+    manifest = snapshots.merge_band(manifest_for(run1, run2), 0, 2)
     (merged_entry,) = manifest["runs"]
     merged_rows = snapshots.read_run(merged_entry)
     assert [row[0] for row in merged_rows] == ["keep"]
@@ -252,7 +264,7 @@ def test_tombstone_not_at_bottom_survives_compaction_semantics():
     store.delete("x")
     assert store.get("x") is None
     # Compaction below does not involve the overlay tombstone.
-    manifest = SnapshotStore(backend).compact(manifest_for(run1))
+    manifest = SnapshotStore(backend).merge_band(manifest_for(run1), 0, 1)
     store.rebase(manifest["runs"])
     assert store.get("x") is None  # overlay tombstone still masks disk
 
@@ -312,7 +324,7 @@ def test_streaming_compaction_matches_merged_semantics():
         + [(f"k{i:02d}", None) for i in range(1, 30, 4)],
     )
     snapshots = SnapshotStore(backend)
-    manifest = snapshots.compact(manifest_for(run1, run2))
+    manifest = snapshots.merge_band(manifest_for(run1, run2), 0, 2)
     (entry,) = manifest["runs"]
     rows = snapshots.read_run(entry)
     expected = {}
@@ -514,20 +526,6 @@ def test_scan_decodes_only_intersecting_blocks():
     assert STORE_COUNTERS["range_block_decodes"] == total_blocks
 
 
-def test_v1_blob_runs_scan_too():
-    backend = MemoryBackend()
-    rows = [entry_to_row(f"k{i}", i * 10, Version(1, i)) for i in range(8)]
-    payload = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
-    backend.replace(run_name(1), payload)
-    entry = {
-        "name": run_name(1), "checksum": checksum(payload), "rows": len(rows),
-    }
-    store = PagedStateStore(backend, [entry])
-    assert [(k, e.value) for k, e in store.scan("k2", "k4")] == [
-        ("k2", 20), ("k3", 30), ("k4", 40),
-    ]
-
-
 def test_paged_store_collapse_drops_overlays_and_keeps_reads():
     backend = MemoryBackend()
     base = write_run(backend, 1, [("a", 1), ("b", 2)])
@@ -547,35 +545,33 @@ def test_paged_store_collapse_drops_overlays_and_keeps_reads():
     assert [k for k, _ in store.scan()] == ["a", "c"]
 
 
-# -- the (policy x budget x seed) equivalence matrix ---------------------------
+# -- the (budget x seed) equivalence matrix ------------------------------------
 
 
-def recovered_via(backend, paged, compaction="full"):
+def recovered_via(backend, paged):
     return DurableLedger(
-        backend, snapshot_interval=3, compaction=compaction, paged=paged
+        backend, snapshot_interval=3, compaction="tiered:2", paged=paged
     ).recover(standard_registry)
 
 
-@pytest.mark.parametrize("compaction", ["full", "tiered"])
 @pytest.mark.parametrize("budget", [0, 192])
 @pytest.mark.parametrize("seed", [5, 9])
-def test_policy_budget_matrix_paged_equals_materialized(
-    compaction, budget, seed
-):
-    """Every (compaction policy, overlay budget, seed) cell: crash,
-    recover both ways, and the paged store must match the materialized
-    oracle and the live pre-crash root byte for byte."""
+def test_policy_budget_matrix_paged_equals_materialized(budget, seed):
+    """Every (overlay budget, seed) cell under fanout-2 tiered
+    compaction: crash, recover both ways, and the paged store must
+    match the materialized oracle and the live pre-crash root byte for
+    byte."""
     backend = MemoryBackend()
     chain, live, root = commit_chain_through(
         DurableLedger(
-            backend, snapshot_interval=3, compaction=compaction,
+            backend, snapshot_interval=3, compaction="tiered:2",
             overlay_budget_bytes=budget,
         ),
         seed=seed,
     )
     backend.simulate_crash()
-    materialized = recovered_via(backend, paged=False, compaction=compaction)
-    paged = recovered_via(backend, paged=True, compaction=compaction)
+    materialized = recovered_via(backend, paged=False)
+    paged = recovered_via(backend, paged=True)
     assert isinstance(paged.store, PagedStateStore)
     assert paged.tail.tip_hash() == materialized.tail.tip_hash()
     assert paged.replayed == materialized.replayed
@@ -586,29 +582,6 @@ def test_policy_budget_matrix_paged_equals_materialized(
         )
     assert state_root(paged.store) == root
     assert state_root(materialized.store) == root
-
-
-@pytest.mark.parametrize("budget", [0, 192])
-def test_tiered_state_is_byte_identical_to_full(budget):
-    """Same chain, same budget: the tiered and full-merge policies must
-    land the exact same recovered state (values and MVCC versions)."""
-    def final_state(compaction):
-        backend = MemoryBackend()
-        commit_chain_through(
-            DurableLedger(
-                backend, snapshot_interval=3, compaction=compaction,
-                overlay_budget_bytes=budget,
-            ),
-            seed=13,
-        )
-        backend.simulate_crash()
-        result = recovered_via(backend, paged=True, compaction=compaction)
-        return {
-            key: result.store.get_versioned(key)
-            for key in result.store.keys()
-        }
-
-    assert final_state("full") == final_state("tiered")
 
 
 def test_overlay_budget_forces_mid_interval_spills():

@@ -1,15 +1,25 @@
 """The snapshot tier: spill/load round-trips, the sealed_overlays()
 contract, compaction, and — the capsule this file exists for —
-crash-during-compaction atomicity of the manifest swap."""
+crash-during-compaction atomicity of the manifest swap, down to a
+whole durable-ledger snapshot cycle."""
 
 import pytest
 
 from repro.common.errors import StorageError
+from repro.execution.contracts import standard_registry
+from repro.execution.serial import execute_block_serially
 from repro.ledger.store import STORE_COUNTERS, StateStore, Version
-from repro.storage import MemoryBackend, SnapshotStore, SpillBuffer
+from repro.storage import (
+    DurableLedger,
+    MemoryBackend,
+    SnapshotStore,
+    SpillBuffer,
+    build_canonical_chain,
+    state_root,
+)
 from repro.storage.snapshots import (
     MANIFEST_NAME,
-    STORAGE_SNAPSHOT_COMPACTIONS,
+    STORAGE_TIER_COMPACTIONS,
     merge_overlays,
 )
 
@@ -107,62 +117,22 @@ def test_undecodable_manifest_reads_as_none():
 
 def test_compaction_merges_runs_and_drops_bottom_tombstones():
     backend = MemoryBackend()
-    snapshots = SnapshotStore(backend, max_runs=2)
+    snapshots = SnapshotStore(backend, policy="tiered:2")
     manifest = snapshots.spill(filled_buffer([("a", 1), ("b", 2)]), {})
+    before = sum(STORAGE_TIER_COMPACTIONS.values())
     manifest = snapshots.spill(
         filled_buffer([("a", None), ("c", 3)], height=2), manifest
-    )
-    before = STORAGE_SNAPSHOT_COMPACTIONS["count"]
-    manifest = snapshots.spill(
-        filled_buffer([("d", 4)], height=3), manifest
-    )  # third run > max_runs=2 → compaction
-    assert STORAGE_SNAPSHOT_COMPACTIONS["count"] == before + 1
+    )  # two tier-0 runs at the bottom -> one band merge
+    assert sum(STORAGE_TIER_COMPACTIONS.values()) == before + 1
     assert len(manifest["runs"]) == 1
-    loaded = snapshots.load_state(manifest)
-    assert loaded.as_dict() == {"b": 2, "c": 3, "d": 4}
+    # The delete of "a" reached the bottom tier: it cancelled out
+    # instead of surviving as a tombstone row.
+    assert [row[0] for row in snapshots.read_run(manifest["runs"][0])] == [
+        "b", "c",
+    ]
+    assert snapshots.load_state(manifest).as_dict() == {"b": 2, "c": 3}
     # Superseded run files were deleted; only merged run + manifest left.
     assert backend.list() == sorted([MANIFEST_NAME, manifest["runs"][0]["name"]])
-
-
-def test_crash_during_compaction_leaves_old_or_new_set_readable():
-    """The atomic-manifest-swap capsule: kill the backend after every
-    possible number of mutating operations inside the compacting spill;
-    whatever the crash point, recovery must read a complete, checksum-
-    valid snapshot set — the state before the spill or after it, never
-    a half-swapped mixture."""
-    def states_after_crash(fail_after):
-        backend = MemoryBackend()
-        snapshots = SnapshotStore(backend, max_runs=2)
-        manifest = snapshots.spill(filled_buffer([("a", 1), ("b", 2)]), {})
-        manifest = snapshots.spill(
-            filled_buffer([("b", 20), ("c", 3)], height=2), manifest
-        )
-        backend.fail_after_ops(fail_after)
-        crashed = False
-        try:
-            snapshots.spill(filled_buffer([("d", 4)], height=3), manifest)
-        except StorageError:
-            crashed = True
-        backend.fail_after_ops(None)
-        # A fresh process reads whatever the disk holds now.
-        recovered = SnapshotStore(backend, max_runs=2)
-        durable = recovered.read_manifest()
-        assert durable is not None, "manifest lost entirely"
-        return crashed, recovered.load_state(durable).as_dict()
-
-    old_state = {"a": 1, "b": 20, "c": 3}
-    new_state = {"a": 1, "b": 20, "c": 3, "d": 4}
-    crash_seen = False
-    for fail_after in range(12):
-        crashed, state = states_after_crash(fail_after)
-        crash_seen = crash_seen or crashed
-        assert state in (old_state, new_state), (
-            f"fail_after={fail_after}: half-swapped state {state}"
-        )
-        if not crashed:
-            assert state == new_state
-            break
-    assert crash_seen, "fail_after_ops never fired — test is vacuous"
 
 
 # -- the memory budget ---------------------------------------------------------
@@ -204,19 +174,20 @@ def test_spill_buffer_tracks_resident_bytes():
 def test_compaction_policy_parse_and_validation():
     from repro.storage import CompactionPolicy
 
-    assert CompactionPolicy.parse("full").kind == "full"
-    tiered = CompactionPolicy.parse("tiered:3")
-    assert (tiered.kind, tiered.fanout) == ("tiered", 3)
-    for bad in ("lsm", "tiered:x"):
+    assert CompactionPolicy.parse("tiered").fanout == 4
+    assert CompactionPolicy.parse("tiered:3").fanout == 3
+    policy = CompactionPolicy(fanout=2)
+    assert CompactionPolicy.parse(policy) is policy
+    for bad in ("full", "lsm", "tiered:x"):
         with pytest.raises(StorageError):
             CompactionPolicy.parse(bad)
     with pytest.raises(StorageError):
-        CompactionPolicy(kind="tiered", fanout=1)
+        CompactionPolicy(fanout=1)
+    # An entry without a recorded tier schedules as tier 0.
+    assert CompactionPolicy.entry_tier({"name": "snap-000001.json"}) == 0
 
 
 def test_tiered_band_merge_promotes_tier_and_preserves_state():
-    from repro.storage.snapshots import STORAGE_TIER_COMPACTIONS
-
     backend = MemoryBackend()
     snapshots = SnapshotStore(backend, policy="tiered:2")
     before = STORAGE_TIER_COMPACTIONS.get(1, 0)
@@ -285,7 +256,7 @@ def test_crash_during_plain_spill_leaves_old_or_new_set_readable():
     pre-spill or post-spill state."""
     def states_after_crash(fail_after):
         backend = MemoryBackend()
-        snapshots = SnapshotStore(backend, max_runs=8)
+        snapshots = SnapshotStore(backend)
         manifest = snapshots.spill(filled_buffer([("a", 1)]), {})
         backend.fail_after_ops(fail_after)
         crashed = False
@@ -294,7 +265,7 @@ def test_crash_during_plain_spill_leaves_old_or_new_set_readable():
         except StorageError:
             crashed = True
         backend.fail_after_ops(None)
-        recovered = SnapshotStore(backend, max_runs=8)
+        recovered = SnapshotStore(backend)
         durable = recovered.read_manifest()
         assert durable is not None, "manifest lost entirely"
         return crashed, recovered.load_state(durable).as_dict()
@@ -348,4 +319,75 @@ def test_crash_during_tiered_compaction_leaves_old_or_new_set_readable():
         if not crashed:
             assert state == new_state
             break
+    assert crash_seen, "fail_after_ops never fired — test is vacuous"
+
+
+# -- crash sweep: one whole DurableLedger.snapshot cycle -----------------------
+
+
+def live_chain_with_one_snapshot(backend, blocks_before, blocks_after):
+    """Commit a canonical chain through a ``tiered:2`` ledger with one
+    snapshot after ``blocks_before`` blocks; returns (ledger, chain,
+    live store, spill buffer of the unsnapshotted tail, last root)."""
+    ledger = DurableLedger(backend, snapshot_interval=10_000,
+                           compaction="tiered:2")
+    chain = build_canonical_chain(2 * (blocks_before + blocks_after), seed=3)
+    store, spill = StateStore(), SpillBuffer()
+    registry = standard_registry()
+    root = ""
+    for block in chain:
+        if block.height == 0:
+            continue
+        report = execute_block_serially(block, store, registry)
+        for index, rwset in enumerate(report.rwsets):
+            if rwset.ok:
+                spill.apply_writes(rwset.writes, Version(block.height, index))
+        root = state_root(store)
+        ledger.commit_block(block, root)
+        if block.height == blocks_before:
+            ledger.snapshot(block, root, spill)
+            spill = SpillBuffer()
+    return ledger, chain, store, spill, root
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["materialized", "paged"])
+def test_crash_anywhere_in_a_ledger_snapshot_cycle_recovers_live_chain(paged):
+    """Kill the backend after every possible number of mutating ops
+    inside one ``DurableLedger.snapshot`` — WAL roll, delta-run write,
+    manifest swap, the band merge the new run completes, and the WAL
+    segment deletes. Whatever the crash point, recovery must land on
+    the live chain's height, tip and state root, with no resync."""
+    crash_seen = False
+    for fail_after in range(60):
+        backend = MemoryBackend()
+        ledger, chain, live, spill, root = live_chain_with_one_snapshot(
+            backend, blocks_before=3, blocks_after=3
+        )
+        backend.fail_after_ops(fail_after)
+        crashed = False
+        try:
+            ledger.snapshot(chain.block(chain.height), root, spill)
+        except StorageError:
+            crashed = True
+        backend.fail_after_ops(None)
+        crash_seen = crash_seen or crashed
+        if not crashed:
+            # The uncrashed cycle really covered a band merge and the
+            # segment deletes: one tier-1 run, no superseded segment.
+            manifest = SnapshotStore(backend).read_manifest()
+            assert [e["tier"] for e in manifest["runs"]] == [1]
+            assert [n for n in backend.list() if n.startswith("wal-")] == []
+        backend.simulate_crash()
+        result = DurableLedger(
+            backend, compaction="tiered:2", paged=paged
+        ).recover(standard_registry)
+        where = f"fail_after={fail_after}"
+        assert not result.resync, where
+        assert result.tail.height == chain.height, where
+        assert result.tail.tip_hash() == chain.tip_hash(), where
+        assert state_root(result.store) == root == state_root(live), where
+        if not crashed:
+            break
+    else:
+        pytest.fail("the snapshot cycle never completed within the sweep")
     assert crash_seen, "fail_after_ops never fired — test is vacuous"
