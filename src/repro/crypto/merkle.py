@@ -14,7 +14,9 @@ Construction is cached on the protocol hot path:
   validated on append or audited later;
 * whole roots are memoized by their leaf-digest tuple, so re-deriving a
   block's root (``validate_payload``, ``verify_chain``, fuzz-monitor
-  linkage checks) is a dictionary lookup instead of a full rebuild;
+  linkage checks) is a dictionary lookup instead of a full rebuild; the
+  memo is bounded by the leaf digests its keys hold, not by entry
+  count, so per-block state roots cannot pin state-sized tuples;
 * :class:`IncrementalMerkleRoot` maintains the root of an append-style
   batch with O(log n) cached subtree peaks per append instead of an
   O(n) rebuild per transaction.
@@ -32,12 +34,17 @@ from dataclasses import dataclass
 from repro.common.errors import CryptoError
 from repro.crypto.digests import hash_pair, sha256_hex
 
-#: Capacity of the leaf-digest intern table and the root memo.
+#: Capacity of the leaf-digest intern table, in entries.
 _LEAF_CACHE_CAPACITY = 65536
-_ROOT_CACHE_CAPACITY = 8192
+#: Budget of the root memo, in leaf digests held across all its keys: a
+#: whole-state root pins a state-sized tuple, so an entry count alone
+#: would let the memo grow with state size.
+_ROOT_CACHE_LEAF_BUDGET = 65536
 
 _LEAF_CACHE: OrderedDict[bytes | str, str] = OrderedDict()
 _ROOT_CACHE: OrderedDict[tuple[str, ...], str] = OrderedDict()
+#: Leaf digests currently held by ``_ROOT_CACHE`` keys.
+_root_cache_leaves = 0
 
 #: Live counters for the hot-path benchmarks (see
 #: ``repro.bench.profiling.hotpath_counters``).
@@ -51,8 +58,10 @@ MERKLE_COUNTERS = {
 
 def reset_merkle_caches() -> None:
     """Clear caches and counters (benchmark isolation)."""
+    global _root_cache_leaves
     _LEAF_CACHE.clear()
     _ROOT_CACHE.clear()
+    _root_cache_leaves = 0
     for key in MERKLE_COUNTERS:
         MERKLE_COUNTERS[key] = 0
 
@@ -177,8 +186,12 @@ def merkle_root(leaves: list[bytes | str]) -> str:
     """The Merkle root of ``leaves`` (empty list → digest of b'').
 
     Memoized by the leaf-digest tuple: re-deriving a known batch's root
-    (block payload validation, chain audits) is a cache lookup.
+    (block payload validation, chain audits) is a cache lookup. The memo
+    holds at most ``_ROOT_CACHE_LEAF_BUDGET`` leaf digests, evicting
+    least-recently-used roots; a root over more leaves than the whole
+    budget is not memoized, so it cannot flush the block batches.
     """
+    global _root_cache_leaves
     if not leaves:
         return sha256_hex(b"")
     key = tuple(_leaf_digest(leaf) for leaf in leaves)
@@ -188,9 +201,12 @@ def merkle_root(leaves: list[bytes | str]) -> str:
         MERKLE_COUNTERS["root_cache_hits"] += 1
         return cached
     root = _root_of_digests(list(key))
-    _ROOT_CACHE[key] = root
-    while len(_ROOT_CACHE) > _ROOT_CACHE_CAPACITY:
-        _ROOT_CACHE.popitem(last=False)
+    if len(key) <= _ROOT_CACHE_LEAF_BUDGET:
+        _ROOT_CACHE[key] = root
+        _root_cache_leaves += len(key)
+        while _root_cache_leaves > _ROOT_CACHE_LEAF_BUDGET:
+            evicted, _ = _ROOT_CACHE.popitem(last=False)
+            _root_cache_leaves -= len(evicted)
     return root
 
 

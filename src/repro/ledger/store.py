@@ -302,7 +302,12 @@ class StateStore:
         return list(snapshot_view.keys())
 
     def items(self) -> Iterator[tuple[str, VersionedValue]]:
-        """Live (key, VersionedValue) pairs, layer-merged."""
+        """Live (key, VersionedValue) pairs, layer-merged.
+
+        Unordered here; the paged store's override
+        (``repro.storage.paged.PagedStateStore.items``) yields them in
+        key order from one merged scan.
+        """
         for key in self.keys():
             yield key, self.get_versioned(key)
 

@@ -23,7 +23,11 @@ run files, LSM style:
   resync);
 * decoded blocks live in a shared :class:`BlockCache` — a byte-budget
   LRU — so hot keys cost O(log block) with zero I/O while the resident
-  set stays within the configured budget whatever the state size.
+  set stays within the configured budget whatever the state size;
+* whole-state reads (``items``, ``keys``, ``len`` — hence the per-block
+  ``state_root``) are one k-way merge over overlays and runs
+  (:func:`scan_layers`) with zero point lookups, each run block decoded
+  once and bypassing the cache.
 
 Writes land in the inherited COW overlay stack, which is never folded
 into the (empty) base: the base-fold would drop tombstones that must
@@ -417,6 +421,13 @@ class PagedStateStore(StateStore):
 
     def keys(self) -> list[str]:
         return [key for key, _entry in self.scan()]
+
+    def items(self) -> Iterator[tuple[str, VersionedValue]]:
+        """Live (key, VersionedValue) pairs in key order: one merged
+        :meth:`scan` with zero point lookups, so ``state_root``,
+        ``as_dict`` and ``same_state_as`` stream the state once at one
+        decoded block per run."""
+        return self.scan()
 
     def scan(
         self, start: str | None = None, end: str | None = None

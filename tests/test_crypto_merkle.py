@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import CryptoError
+from repro.crypto import merkle
 from repro.crypto.merkle import (
     MERKLE_COUNTERS,
     IncrementalMerkleRoot,
@@ -102,6 +103,63 @@ class TestMerkleCaches:
         warm = merkle_root(leaves)
         reset_merkle_caches()
         assert merkle_root(leaves) == cold == warm
+
+
+def memo_tally():
+    """Leaf digests the root memo holds, checked against its keys."""
+    held = sum(len(key) for key in merkle._ROOT_CACHE)
+    assert merkle._root_cache_leaves == held
+    return held
+
+
+class TestRootMemoBound:
+    def test_over_budget_root_leaves_tally_within_budget(self):
+        reset_merkle_caches()
+        budget = merkle._ROOT_CACHE_LEAF_BUDGET
+        merkle_root([f"tx-{i}" for i in range(16)])
+        merkle_root([f"state-{i}" for i in range(budget + 1)])
+        assert 0 < memo_tally() <= budget
+
+    def test_lru_eviction_keeps_tally_within_budget(self, monkeypatch):
+        monkeypatch.setattr(merkle, "_ROOT_CACHE_LEAF_BUDGET", 64)
+        reset_merkle_caches()
+        batches = [[f"b{size}-{i}" for i in range(size)]
+                   for size in (10, 20, 30, 40)]
+        for batch in batches:
+            merkle_root(batch)
+            assert memo_tally() <= 64
+        # The oldest batches were evicted, the newest is still memoized.
+        assert len(merkle._ROOT_CACHE) == 1
+        merkle_root(batches[-1])
+        assert MERKLE_COUNTERS["root_cache_hits"] == 1
+        merkle_root(batches[0])
+        assert MERKLE_COUNTERS["root_cache_hits"] == 1
+
+    def test_batch_root_still_hits_after_whole_state_root(self):
+        reset_merkle_caches()
+        batch = [f"tx-{i}" for i in range(40)]
+        first = merkle_root(batch)
+        merkle_root([f"state-{i}" for i in range(8000)])
+        merkle_root([f"state-{i}" for i in range(
+            merkle._ROOT_CACHE_LEAF_BUDGET + 1)])
+        assert merkle_root(list(batch)) == first
+        assert MERKLE_COUNTERS["root_cache_hits"] == 1
+
+    def test_reset_zeroes_tally(self):
+        merkle_root([f"tx-{i}" for i in range(8)])
+        assert memo_tally() > 0
+        reset_merkle_caches()
+        assert merkle._root_cache_leaves == 0
+        assert memo_tally() == 0
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64, 65, 100])
+    def test_roots_unchanged_by_the_bound(self, monkeypatch, size):
+        monkeypatch.setattr(merkle, "_ROOT_CACHE_LEAF_BUDGET", 64)
+        reset_merkle_caches()
+        leaves = [f"leaf-{i}" for i in range(size)]
+        cold = merkle_root(leaves)
+        warm = merkle_root(leaves)
+        assert cold == warm == MerkleTree(leaves).root
 
 
 class TestIncrementalMerkleRoot:

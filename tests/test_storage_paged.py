@@ -602,3 +602,171 @@ def test_overlay_budget_forces_mid_interval_spills():
     control = MemoryBackend()
     commit_chain_through(DurableLedger(control, snapshot_interval=100))
     assert SnapshotStore(control).read_manifest() is None
+
+
+# -- whole-state reads: one merged pass ----------------------------------------
+
+
+def paged_and_mirror(backend, *entries):
+    """A paged store over ``entries`` and its materialized mirror."""
+    return (
+        PagedStateStore(backend, list(entries)),
+        SnapshotStore(backend).load_state(manifest_for(*entries)),
+    )
+
+
+def assert_same_items(paged, materialized):
+    """Paged items() is the materialized state in key order — keys,
+    values and MVCC versions — and both give the same root."""
+    assert list(paged.items()) == sorted(materialized.items())
+    assert len(paged) == len(materialized)
+    assert state_root(paged) == state_root(materialized)
+
+
+def runs_with_tombstones(backend):
+    """An old run of 40 keys and a newer run that rewrites every other
+    key and deletes every sixth one (run-tier tombstones)."""
+    old = write_run(backend, 1, [(f"k{i:02d}", i) for i in range(40)])
+    new = write_run(
+        backend, 2,
+        [(f"k{i:02d}", None if i % 3 == 0 else -i) for i in range(0, 40, 2)],
+    )
+    return old, new
+
+
+def test_paged_items_equal_materialized_through_every_tier():
+    backend = MemoryBackend()
+    paged, mirror = paged_and_mirror(backend, *runs_with_tombstones(backend))
+    assert_same_items(paged, mirror)  # runs only, run tombstones masking
+    batches = [
+        {"k01": "a", "k03": None, "k50": "new"},  # overlay tombstone on a run key
+        {"k00": "back", "k05": None, "k51": "x"},  # rewrite over a run tombstone
+        {"k50": None, "k07": "y"},  # delete a key that lives only in an overlay
+    ]
+    for height, batch in enumerate(batches, start=10):
+        for store in (paged, mirror):
+            store.apply_writes(batch, Version(height, 0))
+        assert_same_items(paged, mirror)  # unsealed head overlay
+        paged.snapshot()
+        assert_same_items(paged, mirror)  # sealed overlays
+    for store in (paged, mirror):
+        store.apply_writes({"k09": "head", "k11": None}, Version(20, 0))
+    sealed = sum(len(overlay) for overlay in paged.sealed_overlays())
+    assert sealed and paged.overlay_entries() > sealed  # head and sealed
+    assert_same_items(paged, mirror)
+
+
+def test_paged_items_equal_materialized_after_rebase_and_collapse():
+    backend = MemoryBackend()
+    snapshots = SnapshotStore(backend)
+    old, new = runs_with_tombstones(backend)
+    paged, mirror = paged_and_mirror(backend, old, new)
+    spill = SpillBuffer()
+    for store in (paged, mirror, spill):
+        store.apply_writes({"k01": "a", "k04": None, "k60": "fresh"},
+                           Version(10, 0))
+    paged.snapshot()
+    for store in (paged, mirror, spill):
+        store.apply_writes({"k60": None, "k02": "b"}, Version(11, 0))
+    # Rebase: the runs under the overlays merge into one.
+    manifest = snapshots.merge_band(manifest_for(old, new), 0, 2)
+    paged.rebase(manifest["runs"])
+    assert_same_items(paged, mirror)
+    # Collapse: the overlays' delta spills as a run, overlays drop.
+    manifest = snapshots.spill(spill, manifest)
+    paged.collapse(manifest["runs"])
+    assert paged.overlay_entries() == 0
+    assert_same_items(paged, mirror)
+
+
+def test_state_root_over_paged_store_makes_no_point_lookups(monkeypatch):
+    """The per-block root reads the paged store in one merged pass: no
+    point lookup, no key-filter probe, every run block decoded once."""
+    backend = MemoryBackend()
+    entries = [
+        write_run(backend, run_id,
+                  [(f"k{i:03d}", run_id * 1000 + i)
+                   for i in range(run_id - 1, 120, run_id)])
+        for run_id in (1, 2, 3)
+    ]
+    entries.append(write_run(backend, 4, [(f"k{i:03d}", None)
+                                          for i in range(0, 120, 7)]))
+    paged, mirror = paged_and_mirror(backend, *entries)
+    for store in (paged, mirror):
+        store.apply_writes({"k005": "s", "k014": None}, Version(9, 0))
+    paged.snapshot()
+    for store in (paged, mirror):
+        store.apply_writes({"k200": "h", "k006": None}, Version(10, 0))
+    expected = state_root(mirror)
+
+    decodes = {}
+    read_block = PagedRun.read_block
+
+    def counting_read_block(run, index):
+        decodes[run.name, index] = decodes.get((run.name, index), 0) + 1
+        return read_block(run, index)
+
+    monkeypatch.setattr(PagedRun, "read_block", counting_read_block)
+    lookups = STORE_COUNTERS["paged_lookups"]
+    skips = STORE_COUNTERS["filter_skips"]
+    assert state_root(paged) == expected
+    assert STORE_COUNTERS["paged_lookups"] == lookups
+    assert STORE_COUNTERS["filter_skips"] == skips
+    assert max(decodes.values()) == 1
+    total_blocks = sum(PagedRun(backend, e).block_count() for e in entries)
+    assert len(decodes) == total_blocks > len(entries)
+
+
+def test_paged_chain_root_equals_materialized_after_every_block():
+    """One chain through budget spills, fanout-2 band merges and a
+    crash/recover, committed on a paged store from the first block:
+    its state root equals the in-memory serial oracle's after every
+    block, and paged recovery lists the same entries as materialized
+    recovery."""
+    backend = MemoryBackend()
+
+    def ledger_for(paged=True):
+        return DurableLedger(
+            backend, snapshot_interval=8, compaction="tiered:2",
+            overlay_budget_bytes=192, paged=paged,
+        )
+
+    chain = build_canonical_chain(80, seed=13)
+    ledger = ledger_for()
+    store, spill = PagedStateStore(backend, []), SpillBuffer()
+    oracle, oracle_registry = StateStore(), standard_registry()
+    registry = standard_registry()
+    before = dict(STORE_COUNTERS)
+    crash_at = chain.height // 2
+    for block in chain:
+        if block.height == 0:
+            continue
+        execute_block_serially(block, oracle, oracle_registry)
+        report = execute_block_serially(block, store, registry)
+        for index, rwset in enumerate(report.rwsets):
+            if rwset.ok:
+                spill.apply_writes(rwset.writes, Version(block.height, index))
+        root = state_root(store)
+        assert root == state_root(oracle), f"root diverged at {block.height}"
+        ledger.commit_block(block, root)
+        if ledger.maybe_snapshot(block, root, spill):
+            spill = SpillBuffer()
+            manifest = ledger.snapshots.read_manifest() or {}
+            store.collapse(manifest.get("runs", ()))
+            assert list(store.items()) == sorted(oracle.items())
+        if block.height == crash_at:
+            backend.simulate_crash()
+            materialized = ledger_for(paged=False).recover(standard_registry)
+            ledger = ledger_for()
+            result = ledger.recover(standard_registry)
+            assert not result.resync and result.tail.height == crash_at
+            assert isinstance(result.store, PagedStateStore)
+            assert list(result.store.items()) == sorted(
+                materialized.store.items()
+            )
+            store, spill = result.store, result.spill
+            registry = standard_registry()
+    assert STORE_COUNTERS["budget_spills"] > before["budget_spills"]
+    assert (STORE_COUNTERS["compaction_bytes_written"]
+            > before["compaction_bytes_written"])
+    assert state_root(store) == state_root(oracle)
